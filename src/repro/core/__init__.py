@@ -42,7 +42,7 @@ from repro.core.readonly import (
     find_unsatisfied_dependencies,
     verify_snapshot,
 )
-from repro.core.replica import PartitionReplica, ReplicaCounters
+from repro.core.replica import PartitionGenesis, PartitionReplica, ReplicaCounters
 from repro.core.system import SystemCounters, TransEdgeSystem, generate_initial_data
 from repro.core.topology import ClusterTopology
 from repro.core.transaction import TxnPayload, make_transaction
@@ -67,6 +67,7 @@ __all__ = [
     "LockReadRequest",
     "LockReleaseMessage",
     "ParticipantPrepared",
+    "PartitionGenesis",
     "PartitionReplica",
     "PartitionSnapshot",
     "PrepareGroup",

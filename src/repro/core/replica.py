@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.bft.engine import PbftEngine
@@ -64,6 +65,32 @@ from repro.simnet.node import SimEnvironment, SimNode
 from repro.storage.locks import LockMode, LockTable
 from repro.storage.mvstore import MultiVersionStore
 from repro.storage.partitioner import HashPartitioner
+
+
+@dataclass(frozen=True)
+class PartitionGenesis:
+    """One partition's preloaded state, built once and shared by its replicas.
+
+    Every replica of a partition certifies the same genesis Merkle root over
+    the same data, so the deployment builds that state once per partition:
+    ``data`` is the read-only base of every replica's
+    :class:`MultiVersionStore`, ``tree`` is cloned (no hashing) into every
+    replica's Merkle store, and ``image`` is the frozen genesis checkpoint
+    image, whose digest is computed at most once.
+    """
+
+    data: "MappingProxyType[Key, Value]"
+    tree: MerkleTree
+    image: SnapshotImage
+
+    @classmethod
+    def build(cls, partition: PartitionId, data: Mapping[Key, Value]) -> "PartitionGenesis":
+        frozen = MappingProxyType(dict(data))
+        return cls(
+            data=frozen,
+            tree=MerkleTree(frozen),
+            image=SnapshotImage.genesis(partition, frozen),
+        )
 
 
 @dataclass
@@ -329,7 +356,7 @@ class PartitionReplica(SimNode):
         env: SimEnvironment,
         topology: ClusterTopology,
         partitioner: HashPartitioner,
-        initial_data: Optional[Dict[Key, Value]] = None,
+        genesis: PartitionGenesis,
     ) -> None:
         super().__init__(node_id, env)
         self.partition: PartitionId = node_id.partition
@@ -338,8 +365,13 @@ class PartitionReplica(SimNode):
         self.partitioner = partitioner
         self.counters = ReplicaCounters()
 
-        self.store = MultiVersionStore(initial_data or {})
-        self.merkle = self._make_merkle_store(initial_data or {})
+        #: Preloaded state shared with the partition's other replicas; it
+        #: survives crashes (the dataset is durable, shipped with the node).
+        self.genesis = genesis
+        self.store = MultiVersionStore(genesis.data)
+        self.merkle = self._make_merkle_store(
+            genesis.data.copy(), tree=genesis.tree.clone()
+        )
         self.prepared_batches = PreparedBatches()
         self.log = ReplicatedLog()
         self.locks = LockTable()  # only used by the Augustus baseline
@@ -381,8 +413,7 @@ class PartitionReplica(SimNode):
             digest_fn=lambda batch: batch.digest(),
         )
         self.leader_role = LeaderRole(self)
-        self.checkpoints = CheckpointManager(self)
-        self.checkpoints.bootstrap(initial_data or {})
+        self.checkpoints = CheckpointManager(self, genesis.image)
         self.recovery = RecoveryCoordinator(self)
         self.progress_monitor = ViewProgressMonitor(self)
 
@@ -421,7 +452,10 @@ class PartitionReplica(SimNode):
         return ConflictChecker(self.partition, self.partitioner, self.store)
 
     def _make_merkle_store(
-        self, initial: Mapping[Key, Value], base_batch: BatchNumber = NO_BATCH
+        self,
+        initial: Mapping[Key, Value],
+        base_batch: BatchNumber = NO_BATCH,
+        tree: Optional[MerkleTree] = None,
     ) -> MerkleStore:
         """Build the per-partition Merkle store, archived per the perf config."""
         archive = None
@@ -429,7 +463,7 @@ class PartitionReplica(SimNode):
             archive = MerkleTreeArchive(
                 max_batches=self.config.perf.archive_max_batches
             )
-        return MerkleStore(initial, archive=archive, base_batch=base_batch)
+        return MerkleStore(initial, archive=archive, base_batch=base_batch, tree=tree)
 
     def current_cd_vector(self) -> CDVector:
         if self.last_header is not None:
@@ -824,12 +858,11 @@ class PartitionReplica(SimNode):
         The replica keeps its identity, network registration, key material
         and counters; the store, Merkle tree, SMR log, prepared bookkeeping,
         consensus engine and leader role all restart empty and are
-        repopulated through state transfer.  The genesis snapshot survives
-        (the preloaded dataset is durable, shipped with the node).
+        repopulated through state transfer.  The shared genesis state
+        survives (the preloaded dataset is durable, shipped with the node).
         ``preserve_recovery`` keeps the in-flight recovery coordinator so a
         mid-transfer wipe does not lose the recovery session itself.
         """
-        genesis = self.checkpoints.snapshots.genesis
         self.store = MultiVersionStore()
         self.merkle = self._make_merkle_store({})
         self.prepared_batches = PreparedBatches()
@@ -852,8 +885,7 @@ class PartitionReplica(SimNode):
             digest_fn=lambda batch: batch.digest(),
         )
         self.leader_role = LeaderRole(self)
-        self.checkpoints = CheckpointManager(self)
-        self.checkpoints.adopt_genesis(genesis)
+        self.checkpoints = CheckpointManager(self, self.genesis.image)
         if not preserve_recovery:
             self.recovery = RecoveryCoordinator(self)
         # A fresh engine means fresh progress bookkeeping; the old monitor's

@@ -18,7 +18,7 @@ from repro.common.config import SystemConfig
 from repro.common.ids import EdgeProxyId, PartitionId, ReplicaId
 from repro.common.types import Key, Value
 from repro.core.client import TransEdgeClient
-from repro.core.replica import PartitionReplica
+from repro.core.replica import PartitionGenesis, PartitionReplica
 from repro.core.topology import ClusterTopology
 from repro.edge.proxy import EdgeProxy
 from repro.obs.monitor import Monitor
@@ -115,18 +115,22 @@ class TransEdgeSystem:
         self.initial_data: Dict[Key, Value] = dict(
             initial_data if initial_data is not None else generate_initial_data(self.config)
         )
-        self._data_by_partition = self.partitioner.group_items(self.initial_data)
+        data_by_partition = self.partitioner.group_items(self.initial_data)
 
         self.replicas: Dict[ReplicaId, PartitionReplica] = {}
+        self._genesis: Dict[PartitionId, PartitionGenesis] = {}
         for partition in self.topology.partitions():
-            partition_data = self._data_by_partition.get(partition, {})
+            genesis = PartitionGenesis.build(
+                partition, data_by_partition.get(partition, {})
+            )
+            self._genesis[partition] = genesis
             for replica_id in self.topology.members(partition):
                 self.replicas[replica_id] = PartitionReplica(
                     node_id=replica_id,
                     env=self.env,
                     topology=self.topology,
                     partitioner=self.partitioner,
-                    initial_data=partition_data,
+                    genesis=genesis,
                 )
 
         # Edge read-proxy tier (repro.edge): untrusted proxies between the
@@ -211,7 +215,7 @@ class TransEdgeSystem:
 
     def keys_of_partition(self, partition: PartitionId) -> List[Key]:
         """Preloaded keys owned by ``partition`` (sorted, deterministic)."""
-        return sorted(self._data_by_partition.get(partition, {}))
+        return sorted(self._genesis[partition].data)
 
     # ------------------------------------------------------------------
     # crash faults and recovery (see repro.recovery)

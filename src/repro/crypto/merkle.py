@@ -117,10 +117,19 @@ class MerkleTree:
             self._levels.append(nxt)
             current = nxt
 
-    @classmethod
-    def from_items(cls, items: Mapping[Key, Value]) -> "MerkleTree":
-        """Build a tree from a key/value mapping."""
-        return cls(items)
+    def clone(self) -> "MerkleTree":
+        """A private copy of this tree that costs no hashing.
+
+        The key order and leaf index never change after construction (new
+        keys force a rebuild), so the copy shares them; only the digest
+        levels are copied, which keeps :meth:`update_values` and archive
+        deltas on either tree invisible to the other.
+        """
+        twin = MerkleTree.__new__(MerkleTree)
+        twin._keys = self._keys
+        twin._index = self._index
+        twin._levels = [list(level) for level in self._levels]
+        return twin
 
     @property
     def root(self) -> Digest:
@@ -270,6 +279,10 @@ class MerkleStore:
     every batch-tagged ``apply`` first archives the superseded tree state, so
     :meth:`tree_at`/:meth:`prove_at` can answer round-2 snapshot reads for
     recent batches without materialising or rebuilding anything.
+
+    ``tree``, when given, must be a tree over exactly ``initial`` that the
+    store may own and update in place (such as a :meth:`MerkleTree.clone` of
+    a partition's genesis tree); otherwise the store builds its own.
     """
 
     def __init__(
@@ -277,9 +290,10 @@ class MerkleStore:
         initial: Optional[Mapping[Key, Value]] = None,
         archive: Optional["MerkleTreeArchive"] = None,
         base_batch: BatchNumber = NO_BATCH,
+        tree: Optional[MerkleTree] = None,
     ) -> None:
         self._items: Dict[Key, Value] = dict(initial or {})
-        self._tree = MerkleTree(self._items)
+        self._tree = tree if tree is not None else MerkleTree(self._items)
         self._archive = archive
         if archive is not None:
             archive.reset(base_batch)

@@ -72,10 +72,10 @@ class CheckpointCertificate:
 class CheckpointManager:
     """One replica's view of checkpoint agreement and log/store GC."""
 
-    def __init__(self, replica: "PartitionReplica") -> None:
+    def __init__(self, replica: "PartitionReplica", genesis: SnapshotImage) -> None:
         self._replica = replica
         self.config = replica.config.checkpoint
-        self.snapshots = SnapshotStore()
+        self.snapshots = SnapshotStore(genesis)
         self._votes: Dict[Tuple[BatchNumber, Digest], VoteTracker] = {}
         self.stable_seq: BatchNumber = NO_BATCH
         self.stable_certificate: Optional[CheckpointCertificate] = None
@@ -93,18 +93,7 @@ class CheckpointManager:
     def _quorum(self) -> int:
         return self._replica.engine.quorum
 
-    # -- bootstrap / adoption ------------------------------------------------
-
-    def bootstrap(self, initial_data) -> None:
-        """Record the genesis image of the preloaded data (never certified)."""
-        self.snapshots.set_genesis(
-            SnapshotImage.genesis(self._replica.partition, dict(initial_data))
-        )
-
-    def adopt_genesis(self, genesis: Optional[SnapshotImage]) -> None:
-        """Carry the genesis image across a crash (the dataset is durable)."""
-        if genesis is not None:
-            self.snapshots.set_genesis(genesis)
+    # -- adoption -------------------------------------------------------------
 
     def adopt(self, image: SnapshotImage, certificate: CheckpointCertificate) -> None:
         """Install a verified checkpoint received through state transfer."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId
 from repro.common.types import Key, Value
@@ -142,7 +142,7 @@ class SnapshotImage:
         )
 
     @classmethod
-    def genesis(cls, partition: PartitionId, initial: Dict[Key, Value]) -> "SnapshotImage":
+    def genesis(cls, partition: PartitionId, initial: Mapping[Key, Value]) -> "SnapshotImage":
         """The pre-history image: the preloaded data at the reserved version.
 
         The genesis image has no certificate — its authenticity is checked by
@@ -155,14 +155,16 @@ class SnapshotImage:
 
 class SnapshotStore:
     """Holds a replica's snapshot images: the genesis image, tentative images
-    awaiting checkpoint agreement, and the latest stable one."""
+    awaiting checkpoint agreement, and the latest stable one.
 
-    def __init__(self) -> None:
+    The genesis image is never certified and never changes (the preloaded
+    dataset is durable), so one image is shared by a partition's replicas
+    and survives their crashes.
+    """
+
+    def __init__(self, genesis: SnapshotImage) -> None:
         self._images: Dict[BatchNumber, SnapshotImage] = {}
-        self.genesis: Optional[SnapshotImage] = None
-
-    def set_genesis(self, image: SnapshotImage) -> None:
-        self.genesis = image
+        self.genesis = genesis
 
     def add(self, image: SnapshotImage) -> None:
         self._images[image.seq] = image

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.common.errors import StorageError, UnknownKeyError
@@ -55,13 +56,32 @@ class _VersionChain:
 
 
 class MultiVersionStore:
-    """Versioned key/value storage for one partition."""
+    """Versioned key/value storage for one partition.
 
-    def __init__(self, initial: Optional[Mapping[Key, Value]] = None) -> None:
+    ``genesis`` is the preloaded data, visible at the reserved version
+    ``NO_BATCH``.  It stays one read-only base mapping: a
+    :class:`~types.MappingProxyType` is kept as given, so every replica of
+    a partition can share one, and any other mapping is copied first.  A
+    key's version chain is created on its first write, starting from its
+    genesis value, so reads, :meth:`prune` and the key order (genesis keys
+    first, then other keys in first-write order) are exactly those of a
+    store that creates every chain up front.
+    """
+
+    def __init__(self, genesis: Optional[Mapping[Key, Value]] = None) -> None:
+        if not isinstance(genesis, MappingProxyType):
+            genesis = MappingProxyType(dict(genesis or {}))
+        self._genesis: Mapping[Key, Value] = genesis
         self._chains: Dict[Key, _VersionChain] = {}
-        if initial:
-            for key, value in initial.items():
-                self._chains[key] = _VersionChain(versions=[NO_BATCH], values=[value])
+        #: Keys outside ``genesis``, in first-write order.
+        self._new_keys: List[Key] = []
+
+    def _chain(self, key: Key) -> Optional[_VersionChain]:
+        """``key``'s chain; a transient genesis-only one if never written."""
+        chain = self._chains.get(key)
+        if chain is None and key in self._genesis:
+            chain = _VersionChain(versions=[NO_BATCH], values=[self._genesis[key]])
+        return chain
 
     # -- writes -------------------------------------------------------------
 
@@ -72,18 +92,26 @@ class MultiVersionStore:
         for key, value in writes.items():
             chain = self._chains.get(key)
             if chain is None:
-                chain = _VersionChain(versions=[], values=[])
+                chain = self._chain(key)
+                if chain is None:
+                    chain = _VersionChain(versions=[], values=[])
+                    self._new_keys.append(key)
                 self._chains[key] = chain
             chain.append(batch, value)
 
-    def preload(self, items: Mapping[Key, Value]) -> None:
-        """Load initial data at the reserved pre-history version."""
-        for key, value in items.items():
-            if key in self._chains:
-                raise StorageError(f"key {key!r} already preloaded")
-            self._chains[key] = _VersionChain(versions=[NO_BATCH], values=[value])
-
     # -- checkpointing support ----------------------------------------------
+
+    def _all_chains(self) -> Iterator[Tuple[Key, _VersionChain]]:
+        """``(key, chain)`` for every key, in key order (see :meth:`_chain`)."""
+        for key in self.keys():
+            yield key, self._chain(key)
+
+    def _versions_as_of(self, batch: BatchNumber) -> Iterator[Tuple[Key, VersionedValue]]:
+        """Newest version ``<= batch`` of every key that has one, in key order."""
+        for key, chain in self._all_chains():
+            versioned = chain.as_of(batch)
+            if versioned is not None:
+                yield key, versioned
 
     def snapshot_image(self, batch: BatchNumber) -> Dict[Key, Tuple[BatchNumber, Value]]:
         """Latest ``(version, value)`` of every key visible at ``batch``.
@@ -93,26 +121,26 @@ class MultiVersionStore:
         replica restored from the image answers ``version_of``/``as_of``
         queries identically to one that processed the whole log.
         """
-        image: Dict[Key, Tuple[BatchNumber, Value]] = {}
-        for key, chain in self._chains.items():
-            versioned = chain.as_of(batch)
-            if versioned is not None:
-                image[key] = (versioned.version, versioned.value)
-        return image
+        return {
+            key: (versioned.version, versioned.value)
+            for key, versioned in self._versions_as_of(batch)
+        }
 
     def restore_image(self, image: Mapping[Key, Tuple[BatchNumber, Value]]) -> None:
         """Rebuild an empty store from a checkpoint image (one version per key)."""
-        if self._chains:
+        if len(self):
             raise StorageError("restore_image requires an empty store")
         for key, (version, value) in image.items():
             self._chains[key] = _VersionChain(versions=[version], values=[value])
+            self._new_keys.append(key)
 
     def prune(self, upto: BatchNumber) -> int:
         """Drop versions older than the newest version ``<= upto``.
 
         After pruning, ``as_of(key, batch)`` stays exact for every
         ``batch >= upto``; older snapshots resolve to the oldest retained
-        version.  Returns the number of versions removed.
+        version.  Returns the number of versions removed.  A key never
+        written holds only its genesis version, so there is nothing to drop.
         """
         pruned = 0
         for chain in self._chains.values():
@@ -125,37 +153,40 @@ class MultiVersionStore:
 
     def max_chain_length(self) -> int:
         """Length of the longest version chain (0 for an empty store)."""
-        return max((len(chain.versions) for chain in self._chains.values()), default=0)
+        return max((len(chain.versions) for _, chain in self._all_chains()), default=0)
 
     def total_versions(self) -> int:
         """Total number of stored versions across all keys."""
-        return sum(len(chain.versions) for chain in self._chains.values())
+        return sum(len(chain.versions) for _, chain in self._all_chains())
 
     # -- reads --------------------------------------------------------------
 
     def __contains__(self, key: Key) -> bool:
-        return key in self._chains
+        return key in self._genesis or key in self._chains
 
     def __len__(self) -> int:
-        return len(self._chains)
+        return len(self._genesis) + len(self._new_keys)
 
     def keys(self) -> Iterable[Key]:
-        return self._chains.keys()
+        return (*self._genesis, *self._new_keys)
 
     def latest(self, key: Key) -> VersionedValue:
-        chain = self._chains.get(key)
+        chain = self._chain(key)
         if chain is None:
             raise UnknownKeyError(key)
         return chain.latest()
 
     def get(self, key: Key) -> Optional[VersionedValue]:
-        chain = self._chains.get(key)
+        chain = self._chain(key)
         if chain is None:
             return None
         return chain.latest()
 
     def version_of(self, key: Key) -> BatchNumber:
-        """Latest visible version of ``key`` (``NO_BATCH`` for unknown keys)."""
+        """Latest visible version of ``key`` (``NO_BATCH`` for unknown keys).
+
+        A key never written is at its genesis version, ``NO_BATCH`` too.
+        """
         chain = self._chains.get(key)
         if chain is None:
             return NO_BATCH
@@ -163,14 +194,10 @@ class MultiVersionStore:
 
     def as_of(self, key: Key, batch: BatchNumber) -> Optional[VersionedValue]:
         """Value of ``key`` as of batch ``batch`` (inclusive)."""
-        chain = self._chains.get(key)
+        chain = self._chain(key)
         if chain is None:
             return None
         return chain.as_of(batch)
-
-    def snapshot_latest(self) -> Dict[Key, Value]:
-        """Materialise the latest visible value of every key."""
-        return {key: chain.values[-1] for key, chain in self._chains.items()}
 
     def iter_items_as_of(self, batch: BatchNumber) -> Iterator[Tuple[Key, Value]]:
         """Iterate the ``(key, value)`` pairs visible at batch ``batch``.
@@ -178,10 +205,8 @@ class MultiVersionStore:
         The streaming primitive behind :meth:`snapshot_as_of`; use it
         directly when a single pass suffices and no dict is needed.
         """
-        for key, chain in self._chains.items():
-            versioned = chain.as_of(batch)
-            if versioned is not None:
-                yield key, versioned.value
+        for key, versioned in self._versions_as_of(batch):
+            yield key, versioned.value
 
     def snapshot_as_of(self, batch: BatchNumber) -> Dict[Key, Value]:
         """Materialise the state visible at batch ``batch``."""
@@ -189,7 +214,7 @@ class MultiVersionStore:
 
     def history(self, key: Key) -> Tuple[Tuple[BatchNumber, Value], ...]:
         """Full version history of ``key`` (oldest first)."""
-        chain = self._chains.get(key)
+        chain = self._chain(key)
         if chain is None:
             raise UnknownKeyError(key)
         return tuple(zip(chain.versions, chain.values))

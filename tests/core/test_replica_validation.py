@@ -15,7 +15,7 @@ from repro.common.config import BatchConfig, LatencyConfig, SystemConfig
 from repro.common.ids import NO_BATCH, ReplicaId
 from repro.core.batch import Batch, PreparedRecord, ReadOnlySegment
 from repro.core.cdvector import CDVector
-from repro.core.replica import PartitionReplica
+from repro.core.replica import PartitionGenesis, PartitionReplica
 from repro.core.topology import ClusterTopology
 from repro.core.transaction import make_transaction
 from repro.simnet.node import SimEnvironment
@@ -36,7 +36,8 @@ def setup():
     partitioner = HashPartitioner(config.num_partitions)
     initial = {f"key-{i:04d}": b"init" for i in range(32)}
     local = {k: v for k, v in initial.items() if partitioner.partition_of(k) == 0}
-    replica = PartitionReplica(ReplicaId(0, 1), env, topology, partitioner, local)
+    genesis = PartitionGenesis.build(0, local)
+    replica = PartitionReplica(ReplicaId(0, 1), env, topology, partitioner, genesis)
     return env, replica, partitioner, local
 
 

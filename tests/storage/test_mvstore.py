@@ -63,11 +63,6 @@ class TestBasicOperations:
         assert store.latest("a").value == b"2"
         assert len(store.history("a")) == 1
 
-    def test_preload_rejects_duplicate(self):
-        store = MultiVersionStore({"a": b"1"})
-        with pytest.raises(StorageError):
-            store.preload({"a": b"2"})
-
 
 class TestVersionedReads:
     def test_as_of_returns_visible_version(self):
@@ -94,11 +89,6 @@ class TestVersionedReads:
         store.apply({"b": b"b3"}, batch=3)
         assert store.snapshot_as_of(1) == {"a": b"a1", "b": b"b0"}
         assert store.snapshot_as_of(3) == {"a": b"a1", "b": b"b3"}
-
-    def test_snapshot_latest(self):
-        store = MultiVersionStore({"a": b"a0"})
-        store.apply({"a": b"a7", "b": b"b7"}, batch=7)
-        assert store.snapshot_latest() == {"a": b"a7", "b": b"b7"}
 
     def test_iter_items_as_of_streams_the_snapshot(self):
         store = MultiVersionStore({"a": b"a0", "b": b"b0"})
