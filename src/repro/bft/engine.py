@@ -109,6 +109,11 @@ class PbftEngine:
 
         self.view = 0
         self._instances: Dict[int, _Instance] = {}
+        # The entries of ``_instances`` at or past ``_next_deliver_seq``.
+        # ``_instances`` keeps delivered instances too (certificate
+        # rebroadcast serves them), so the progress predicates scan this
+        # dict instead: its size tracks work in flight, not run length.
+        self._undelivered: Dict[int, _Instance] = {}
         self._next_proposal_seq = 0
         self._next_deliver_seq = 0
         self._pending_deliveries: Dict[int, Tuple[object, CommitCertificate]] = {}
@@ -328,6 +333,7 @@ class PbftEngine:
         while self._next_deliver_seq in self._pending_deliveries:
             seq = self._next_deliver_seq
             proposal, certificate = self._pending_deliveries.pop(seq)
+            self._undelivered.pop(seq, None)
             self._next_deliver_seq += 1
             self._application.deliver(seq, proposal, certificate)
         buffered = self._buffered_pre_prepares.pop(self._next_deliver_seq, None)
@@ -371,10 +377,8 @@ class PbftEngine:
         """
         if self._buffered_pre_prepares or self._pending_deliveries:
             return True
-        for seq, instance in self._instances.items():
-            if seq < self._next_deliver_seq or instance.decided:
-                continue
-            if instance.view != self.view:
+        for instance in self._undelivered.values():
+            if instance.decided or instance.view != self.view:
                 continue
             if (
                 instance.pre_prepared
@@ -409,8 +413,8 @@ class PbftEngine:
         """
         if self._buffered_pre_prepares or self._pending_deliveries:
             return True
-        for seq, instance in self._instances.items():
-            if seq < self._next_deliver_seq or instance.decided:
+        for instance in self._undelivered.values():
+            if instance.decided:
                 continue
             if not instance.pre_prepared and instance.commits.reached(self.quorum):
                 return True
@@ -425,6 +429,7 @@ class PbftEngine:
         interval.
         """
         self._instances = {s: inst for s, inst in self._instances.items() if s >= seq}
+        self._undelivered = {s: inst for s, inst in self._undelivered.items() if s >= seq}
         for buffered_seq in [s for s in self._buffered_pre_prepares if s < seq]:
             del self._buffered_pre_prepares[buffered_seq]
 
@@ -547,6 +552,7 @@ class PbftEngine:
         if instance is None:
             instance = _Instance(seq=seq, view=certificate.view)
             self._instances[seq] = instance
+            self._undelivered[seq] = instance
         instance.digest = certificate.digest
         instance.proposal = proposal
         instance.pre_prepared = True
@@ -649,6 +655,9 @@ class PbftEngine:
         self._instances = {
             seq: inst for seq, inst in self._instances.items() if inst.decided
         }
+        self._undelivered = {
+            seq: inst for seq, inst in self._undelivered.items() if inst.decided
+        }
         self._buffered_pre_prepares.clear()
         self._next_proposal_seq = self._next_deliver_seq
         # Drop vote bookkeeping for views the cluster has moved past; the
@@ -665,6 +674,8 @@ class PbftEngine:
         if instance is None or instance.view != view:
             instance = _Instance(seq=seq, view=view)
             self._instances[seq] = instance
+            if seq >= self._next_deliver_seq:
+                self._undelivered[seq] = instance
         return instance
 
     def _other_members(self) -> List[ReplicaId]:

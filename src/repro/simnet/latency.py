@@ -19,7 +19,7 @@ The GEDM setting of the paper has three qualitatively different link types:
 from __future__ import annotations
 
 import random
-from typing import Optional, Protocol
+from typing import Dict, Optional, Protocol, Tuple
 
 from repro.common.config import LatencyConfig
 from repro.common.ids import ClientId, EdgeProxyId, NodeId, PartitionId, ReplicaId
@@ -49,17 +49,17 @@ def proxy_region(proxy: EdgeProxyId, num_partitions: int) -> PartitionId:
 
 
 class EdgeLatencyModel:
-    """Latency model matching the deployment described in Section 5.1."""
+    """Latency model matching the deployment described in Section 5.1.
+
+    A link's base delay depends only on its two endpoints and the frozen
+    :class:`LatencyConfig`, so it is classified once per ``(src, dst)`` pair
+    and memoised; every message still draws its own jitter.
+    """
 
     def __init__(self, config: LatencyConfig, num_partitions: int) -> None:
         self._config = config
         self._num_partitions = num_partitions
-
-    def _jitter(self, base: float, rng: random.Random) -> float:
-        fraction = self._config.jitter_fraction
-        if fraction <= 0 or base <= 0:
-            return base
-        return base * (1.0 + rng.uniform(-fraction, fraction))
+        self._base_ms: Dict[Tuple[NodeId, NodeId], float] = {}
 
     def _partition_of(self, node: NodeId) -> PartitionId:
         if isinstance(node, ReplicaId):
@@ -71,10 +71,8 @@ class EdgeLatencyModel:
     def _is_client(self, node: NodeId) -> bool:
         return isinstance(node, (ClientId, EdgeProxyId))
 
-    def delay_ms(self, src: NodeId, dst: NodeId, rng: random.Random) -> float:
-        src_partition = self._partition_of(src)
-        dst_partition = self._partition_of(dst)
-        same_partition = src_partition == dst_partition
+    def _base_delay_ms(self, src: NodeId, dst: NodeId) -> float:
+        same_partition = self._partition_of(src) == self._partition_of(dst)
         crosses_wan = not same_partition
         config = self._config
 
@@ -85,7 +83,7 @@ class EdgeLatencyModel:
             base = config.client_to_edge_ms
             if crosses_wan:
                 base += config.inter_cluster_ms + config.inter_cluster_extra_ms
-            return self._jitter(base, rng)
+            return base
 
         # Clients and proxies pay the client-to-cluster cost towards the
         # core; a proxy is "a client of the core" as far as links go.
@@ -93,12 +91,21 @@ class EdgeLatencyModel:
             base = config.client_to_cluster_ms
             if crosses_wan:
                 base += config.inter_cluster_ms + config.inter_cluster_extra_ms
-            return self._jitter(base, rng)
+            return base
 
         if same_partition:
-            return self._jitter(config.intra_cluster_ms, rng)
-        base = config.inter_cluster_ms + config.inter_cluster_extra_ms
-        return self._jitter(base, rng)
+            return config.intra_cluster_ms
+        return config.inter_cluster_ms + config.inter_cluster_extra_ms
+
+    def delay_ms(self, src: NodeId, dst: NodeId, rng: random.Random) -> float:
+        key = (src, dst)
+        base = self._base_ms.get(key)
+        if base is None:
+            base = self._base_ms[key] = self._base_delay_ms(src, dst)
+        fraction = self._config.jitter_fraction
+        if fraction <= 0 or base <= 0:
+            return base
+        return base * (1.0 + rng.uniform(-fraction, fraction))
 
 
 class FixedLatencyModel:

@@ -201,14 +201,18 @@ class ReliableTransport:
     def _transmit(
         self, src: NodeId, dst: NodeId, link: _SendLink, seq: int, payload: Message
     ) -> None:
+        recv_link = self._recv_link((src, dst))
         envelope = ReliableEnvelope(
             payload=payload,
             seq=seq,
-            ack=self._recv_links.setdefault((src, dst), _RecvLink()).watermark,
+            ack=recv_link.watermark,
             base=link.base,
             trace=payload.trace,
         )
-        self._cancel_ack_timer((src, dst))
+        if recv_link.ack_timer is not None:
+            # The envelope piggybacks the ack the timer would have sent.
+            recv_link.ack_timer.cancel()
+            recv_link.ack_timer = None
         self._network.send(src, dst, envelope)
 
     def _probe_rtt_ms(self, src: NodeId, dst: NodeId) -> float:
@@ -319,7 +323,7 @@ class ReliableTransport:
         assert isinstance(message, ReliableEnvelope)
         # The piggybacked ack covers our sends on the reverse link.
         self._on_ack(node, src, message.ack)
-        link = self._recv_links.setdefault((node, src), _RecvLink())
+        link = self._recv_link((node, src))
         if message.base - 1 > link.watermark:
             # The sender abandoned everything below ``base``; stop waiting
             # for those holes so the cumulative ack can advance.
@@ -342,12 +346,21 @@ class ReliableTransport:
         self._arm_ack_timer(node, src, link)
         return None if duplicate else message.payload
 
+    def _recv_link(self, key: Tuple[NodeId, NodeId]) -> _RecvLink:
+        link = self._recv_links.get(key)
+        if link is None:
+            link = self._recv_links[key] = _RecvLink()
+        return link
+
     @staticmethod
     def _drain_above(link: _RecvLink) -> None:
-        while link.watermark + 1 in link.above:
-            link.above.discard(link.watermark + 1)
+        above = link.above
+        if not above:
+            return
+        while link.watermark + 1 in above:
+            above.discard(link.watermark + 1)
             link.watermark += 1
-        link.above = {seq for seq in link.above if seq > link.watermark}
+        link.above = {seq for seq in above if seq > link.watermark}
 
     def _arm_ack_timer(self, node: NodeId, src: NodeId, link: _RecvLink) -> None:
         if link.ack_timer is not None:
@@ -360,12 +373,6 @@ class ReliableTransport:
         link.ack_timer = None
         self.counters["acks_sent"] += 1
         self._network.send(node, src, ReliableAck(ack=link.watermark))
-
-    def _cancel_ack_timer(self, key: Tuple[NodeId, NodeId]) -> None:
-        link = self._recv_links.get(key)
-        if link is not None and link.ack_timer is not None:
-            link.ack_timer.cancel()
-            link.ack_timer = None
 
     # -- introspection ------------------------------------------------------
 

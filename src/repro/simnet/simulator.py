@@ -5,47 +5,51 @@ between them — runs on a single event loop driven by simulated time.  Time is
 a float number of milliseconds.  Events are callbacks scheduled at absolute
 times; ties are broken by insertion order so executions are deterministic for
 a fixed seed.
+
+The queue is a binary heap of plain ``(time_ms, sequence, handle)`` tuples.
+``sequence`` is unique per simulator (a running insertion counter), so two
+entries always differ by their first two fields: tuple comparison runs in C
+and never reaches the :class:`EventHandle`, which takes no part in ordering.
+The handle carries the callback and the cancelled/fired flags.  A cancelled
+event keeps its heap entry and is skipped when popped.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
-
-
-@dataclass(order=True)
-class _ScheduledEvent:
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    fired: bool = field(default=False, compare=False)
 
 
 class EventHandle:
     """Handle returned by :meth:`Simulator.schedule`; allows cancellation."""
 
-    def __init__(self, event: _ScheduledEvent, simulator: "Simulator") -> None:
-        self._event = event
+    __slots__ = ("_time", "_callback", "_cancelled", "_fired", "_simulator")
+
+    def __init__(
+        self, time_ms: float, callback: Callable[[], None], simulator: "Simulator"
+    ) -> None:
+        self._time = time_ms
+        self._callback = callback
+        self._cancelled = False
+        self._fired = False
         self._simulator = simulator
 
     @property
     def time(self) -> float:
-        return self._event.time
+        return self._time
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self._cancelled
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if it already fired)."""
-        if self._event.cancelled or self._event.fired:
+        if self._cancelled or self._fired:
             return
-        self._event.cancelled = True
+        self._cancelled = True
         self._simulator._pending -= 1
 
 
@@ -54,7 +58,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[_ScheduledEvent] = []
+        self._queue: List[Tuple[float, int, EventHandle]] = []
         self._sequence = itertools.count()
         self._events_processed = 0
         self._pending = 0
@@ -78,7 +82,13 @@ class Simulator:
         """Schedule ``callback`` to run ``delay_ms`` from now."""
         if delay_ms < 0:
             raise SimulationError(f"cannot schedule an event {delay_ms}ms in the past")
-        return self.schedule_at(self._now + delay_ms, callback)
+        # The hottest call of a run: push directly instead of going through
+        # schedule_at, whose past-time check cannot fail here.
+        time_ms = self._now + delay_ms
+        handle = EventHandle(time_ms, callback, self)
+        heapq.heappush(self._queue, (time_ms, next(self._sequence), handle))
+        self._pending += 1
+        return handle
 
     def schedule_at(self, time_ms: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` to run at absolute time ``time_ms``."""
@@ -86,10 +96,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time_ms}ms; simulated time is already {self._now}ms"
             )
-        event = _ScheduledEvent(time=time_ms, sequence=next(self._sequence), callback=callback)
-        heapq.heappush(self._queue, event)
+        handle = EventHandle(time_ms, callback, self)
+        heapq.heappush(self._queue, (time_ms, next(self._sequence), handle))
         self._pending += 1
-        return EventHandle(event, self)
+        return handle
 
     def run(
         self,
@@ -106,21 +116,23 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run is not re-entrant")
         self._running = True
+        queue = self._queue
+        heappop = heapq.heappop
         processed = 0
         try:
-            while self._queue:
-                event = self._queue[0]
-                if until_ms is not None and event.time > until_ms:
+            while queue:
+                time_ms, _, handle = queue[0]
+                if until_ms is not None and time_ms > until_ms:
                     break
                 if max_events is not None and processed >= max_events:
                     break
-                heapq.heappop(self._queue)
-                if event.cancelled:
+                heappop(queue)
+                if handle._cancelled:
                     continue
-                event.fired = True
+                handle._fired = True
                 self._pending -= 1
-                self._now = event.time
-                event.callback()
+                self._now = time_ms
+                handle._callback()
                 processed += 1
                 self._events_processed += 1
         finally:

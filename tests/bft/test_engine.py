@@ -7,6 +7,7 @@ TransEdge's partition replicas use it for batches.
 
 from __future__ import annotations
 
+import random
 from typing import Dict, List
 
 import pytest
@@ -18,7 +19,7 @@ from repro.bft.byzantine import (
 )
 from repro.bft.engine import PbftEngine
 from repro.bft.log import ReplicatedLog
-from repro.bft.messages import BftMessage
+from repro.bft.messages import BftMessage, Commit, PrePrepare, Prepare, ViewChange
 from repro.common.config import LatencyConfig, SystemConfig
 from repro.common.errors import ConsensusError, NotLeaderError
 from repro.common.ids import ReplicaId
@@ -262,3 +263,135 @@ class TestViewChange:
         env.simulator.run_until_idle()
         for replica in replicas[1:]:
             assert replica.delivered == ["before", "after"]
+
+
+def _brute_has_pending_work(engine):
+    """The predicate as a walk over every instance the engine holds."""
+    if engine._buffered_pre_prepares or engine._pending_deliveries:
+        return True
+    for seq, instance in engine._instances.items():
+        if seq < engine._next_deliver_seq or instance.decided:
+            continue
+        if instance.view != engine.view:
+            continue
+        if (
+            instance.pre_prepared
+            or instance.prepares.count() > 0
+            or instance.commits.count() > 0
+        ):
+            return True
+    return False
+
+
+def _brute_is_behind(engine):
+    if engine._buffered_pre_prepares or engine._pending_deliveries:
+        return True
+    for seq, instance in engine._instances.items():
+        if seq < engine._next_deliver_seq or instance.decided:
+            continue
+        if not instance.pre_prepared and instance.commits.reached(engine.quorum):
+            return True
+    return False
+
+
+def _assert_scans_match(engine):
+    assert engine.has_pending_work() == _brute_has_pending_work(engine)
+    assert engine.is_behind() == _brute_is_behind(engine)
+    # The scanned dict is exactly the undelivered part of ``_instances``.
+    cursor = engine._next_deliver_seq
+    assert engine._undelivered == {
+        seq: inst for seq, inst in engine._instances.items() if seq >= cursor
+    }
+
+
+def _signed(replica, message):
+    message.signature = replica.signer.sign(message.signing_payload())
+    return message
+
+
+def _value(seq):
+    return f"v{seq}"
+
+
+def _digest(seq):
+    return digest_of(["list-entry", _value(seq)])
+
+
+class TestProgressScans:
+    """``is_behind``/``has_pending_work`` scan only undelivered instances."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scans_match_brute_force_under_random_traffic(self, seed):
+        env, replicas = build_cluster()
+        target = replicas[3]
+        # install_checkpoint skips sequence numbers, which the replicated
+        # log rejects; this replica only records what it delivers.
+        target.deliver = lambda seq, proposal, certificate: target.delivered.append(proposal)
+        engine = target.engine
+        by_id = {r.node_id: r for r in replicas}
+        rng = random.Random(seed)
+        seen = {(False, False): 0, (True, False): 0, (True, True): 0}
+
+        def vote_seq():
+            return max(0, engine._next_deliver_seq + rng.choice((-1, 0, 0, 0, 1, 1, 2, 3)))
+
+        for _ in range(500):
+            step = rng.random()
+            view = engine.view
+            if step < 0.25:
+                seq = engine._next_deliver_seq + (0 if rng.random() < 0.85 else rng.randrange(1, 3))
+                leader = by_id[engine.leader_of_view(view)]
+                message = PrePrepare(view=view, seq=seq, digest=_digest(seq), proposal=_value(seq))
+                engine.handle(_signed(leader, message), leader.node_id)
+            elif step < 0.75:
+                seq = vote_seq()
+                sender = rng.choice(replicas)
+                digest = _digest(seq) if rng.random() < 0.9 else b"wrong"
+                kind = Prepare if step < 0.5 else Commit
+                message_view = view if rng.random() < 0.95 else view + 1
+                message = kind(view=message_view, seq=seq, digest=digest)
+                engine.handle(_signed(sender, message), sender.node_id)
+            elif step < 0.84:
+                engine.compact_below(engine._next_deliver_seq + rng.randrange(-3, 2))
+            elif step < 0.9:
+                engine.install_checkpoint(engine._next_deliver_seq - 1 + rng.randrange(0, 4))
+            elif step < 0.91:
+                for voter in replicas[:3]:
+                    vote = ViewChange(view=view + 1, last_delivered=-1)
+                    engine.handle(_signed(voter, vote), voter.node_id)
+            else:
+                sender = rng.choice(replicas[:3])
+                kind = rng.choice((Prepare, Commit))
+                far = kind(view=view, seq=10**9, digest=b"far")
+                engine.handle(_signed(sender, far), sender.node_id)
+            _assert_scans_match(engine)
+            if not (engine._buffered_pre_prepares or engine._pending_deliveries):
+                # Only here do the predicates reach their instance scans.
+                seen[(engine.has_pending_work(), engine.is_behind())] += 1
+        # Every outcome of both scans was reached, so the match is real.
+        assert min(seen.values()) > 0
+        assert len(target.delivered) > 3 and engine.view > 0
+
+    def test_far_future_vote_does_not_walk_the_gap(self):
+        env, replicas = build_cluster()
+        for i in range(3):
+            replicas[0].engine.propose(f"value-{i}")
+            env.simulator.run_until_idle()
+        engine = replicas[3].engine
+        assert replicas[3].delivered == ["value-0", "value-1", "value-2"]
+        assert not engine.has_pending_work() and not engine.is_behind()
+        byzantine = replicas[2]
+        for kind in (Prepare, Commit):
+            message = kind(view=0, seq=10**9, digest=b"far-future")
+            engine.handle(_signed(byzantine, message), byzantine.node_id)
+        _assert_scans_match(engine)
+        assert engine.has_pending_work()  # votes in the current view
+        assert not engine.is_behind()  # one commit is no quorum
+        # The delivered instances stay (rebroadcast serves them) but are not
+        # scanned; the scan visits one entry, however wide the gap.
+        assert set(engine._instances) == {0, 1, 2, 10**9}
+        assert list(engine._undelivered) == [10**9]
+        replicas[0].engine.propose("value-3")
+        env.simulator.run_until_idle()
+        _assert_scans_match(engine)
+        assert list(engine._undelivered) == [10**9]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.common.errors import SimulationError
@@ -73,16 +75,23 @@ class TestCancellation:
         hits = []
         handle = sim.schedule(1.0, lambda: hits.append("no"))
         sim.schedule(2.0, lambda: hits.append("yes"))
+        assert handle.time == 1.0
+        assert not handle.cancelled
         handle.cancel()
         sim.run_until_idle()
         assert hits == ["yes"]
         assert handle.cancelled
+        assert handle.time == 1.0
 
     def test_cancel_after_fire_is_noop(self):
         sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.run_until_idle()
+        handle = sim.schedule(1.5, lambda: None)
+        assert handle.time == 3.5  # absolute: scheduled at now + delay
         sim.run_until_idle()
         handle.cancel()  # should not raise
+        assert not handle.cancelled
 
 
 class TestRunLimits:
@@ -174,3 +183,146 @@ class TestRunLimits:
         sim.schedule(1.0, forever)
         with pytest.raises(SimulationError):
             sim.run_until_idle(max_events=100)
+
+
+
+class _ReferenceEvent:
+    def __init__(self, time, callback):
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
+        self.fired = False
+
+    def cancel(self):
+        if not self.fired:
+            self.cancelled = True
+
+
+class _ReferenceScheduler:
+    """The specification: live events in a list sorted by (time, insertion)."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._inserted = 0
+        self._queue = []  # (time, insertion index, event), kept sorted
+
+    @property
+    def pending_events(self):
+        return sum(1 for _, _, event in self._queue if not event.cancelled)
+
+    def schedule(self, delay_ms, callback):
+        return self.schedule_at(self.now + delay_ms, callback)
+
+    def schedule_at(self, time_ms, callback):
+        event = _ReferenceEvent(time_ms, callback)
+        self._queue.append((time_ms, self._inserted, event))
+        self._inserted += 1
+        self._queue.sort(key=lambda entry: entry[:2])
+        return event
+
+    def run(self, until_ms=None, max_events=None):
+        processed = 0
+        while True:
+            live = [entry for entry in self._queue if not entry[2].cancelled]
+            if not live:
+                break
+            if until_ms is not None and live[0][0] > until_ms:
+                break
+            if max_events is not None and processed >= max_events:
+                break
+            self._queue.remove(live[0])
+            time_ms, _, event = live[0]
+            event.fired = True
+            self.now = time_ms
+            event.callback()
+            processed += 1
+            self.events_processed += 1
+        if until_ms is not None and until_ms > self.now:
+            self.now = until_ms
+        return processed
+
+
+_DELAYS = (0.0, 0.5, 1.0, 1.0, 2.5)  # repeats force same-time ties
+
+
+def _drive(scheduler, seed):
+    """Run one seeded random program on ``scheduler`` and return its trace.
+
+    Every decision comes from ``seed`` and the event's id, never from the
+    scheduler, so two correct schedulers produce identical traces.  Events
+    fire callbacks that schedule more events and cancel others: pending
+    ones, already fired ones and the firing event itself.
+    """
+    trace = []
+    handles = []
+
+    def state(label):
+        trace.append(
+            (label, scheduler.now, scheduler.pending_events, scheduler.events_processed)
+        )
+
+    def add(time_ms, at):
+        eid = len(handles)
+        callback = lambda: fire(eid)  # noqa: E731
+        if at:
+            handle = scheduler.schedule_at(time_ms, callback)
+        else:
+            handle = scheduler.schedule(time_ms, callback)
+        handles.append(handle)
+        trace.append(("scheduled", eid, handle.time))
+
+    def cancel(eid):
+        handles[eid].cancel()
+        state(("cancel", eid, handles[eid].cancelled))
+
+    def fire(eid):
+        state(("fire", eid))
+        rng = random.Random(seed * 1_000_003 + eid)
+        for _ in range(rng.randrange(4)):
+            action = rng.random()
+            if action < 0.45 and len(handles) < 400:
+                add(rng.choice(_DELAYS), at=False)
+            elif action < 0.6 and len(handles) < 400:
+                add(scheduler.now + rng.choice(_DELAYS), at=True)
+            elif action < 0.7:
+                cancel(eid)  # during its own firing: a no-op
+            else:
+                cancel(rng.randrange(len(handles)))
+
+    rng = random.Random(seed)
+    for _ in range(60):
+        step = rng.random()
+        if step < 0.35:
+            add(rng.choice(_DELAYS) * rng.randrange(1, 4), at=False)
+        elif step < 0.5:
+            add(scheduler.now + rng.uniform(0.0, 6.0), at=True)
+        elif step < 0.65 and handles:
+            cancel(rng.randrange(len(handles)))
+        elif step < 0.85:
+            until = scheduler.now + rng.choice((0.0, 0.5, 1.0, rng.uniform(0.0, 4.0)))
+            state(("run-until", scheduler.run(until_ms=until)))
+        else:
+            state(("run-max", scheduler.run(max_events=rng.randrange(0, 6))))
+    state(("drain", scheduler.run()))
+    return trace
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_sorted_list_reference(self, seed):
+        expected = _drive(_ReferenceScheduler(), seed)
+        assert _drive(Simulator(), seed) == expected
+        fired = sum(1 for entry in expected if entry[0][0] == "fire")
+        assert fired > 20  # the program really exercised the queue
+
+    def test_reference_catches_a_broken_tie_break(self):
+        class LifoTies(_ReferenceScheduler):
+            def schedule_at(self, time_ms, callback):
+                event = _ReferenceEvent(time_ms, callback)
+                self._queue.append((time_ms, -self._inserted, event))
+                self._inserted += 1
+                self._queue.sort(key=lambda entry: entry[:2])
+                return event
+
+        assert any(_drive(LifoTies(), seed) != _drive(Simulator(), seed) for seed in range(4))

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError
+from repro.core.system import generate_initial_data
 from repro.storage.locks import LockMode, LockTable
 from repro.storage.partitioner import HashPartitioner
 
@@ -68,6 +72,25 @@ class TestHashPartitioner:
         grouped = partitioner.group_keys(keys)
         flattened = [k for members in grouped.values() for k in members]
         assert sorted(flattened) == sorted(keys)
+
+    def test_memoised_placement_matches_the_uncached_hash(self):
+        def uncached(key, n):
+            digest = hashlib.blake2s(key.encode("utf-8"), digest_size=8).digest()
+            return int.from_bytes(digest, "big") % n
+
+        population = list(generate_initial_data(SystemConfig(initial_keys=2000, seed=5)))
+        unseen = [f"fresh-{i}" for i in range(200)] + ["", "ключ", "key-99999999"]
+        for n in (1, 3, 5):
+            partitioner = HashPartitioner(n)
+            for _ in range(2):  # the second pass is served from the memo
+                assert [partitioner.partition_of(k) for k in population] == [
+                    uncached(k, n) for k in population
+                ]
+            assert [partitioner.partition_of(k) for k in unseen] == [
+                uncached(k, n) for k in unseen
+            ]
+            grouped = partitioner.group_keys(population + unseen)
+            assert all(uncached(k, n) == p for p, keys in grouped.items() for k in keys)
 
 
 class TestLockTable:
