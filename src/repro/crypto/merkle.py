@@ -19,7 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.common.errors import ProofError
 from repro.common.ids import NO_BATCH, BatchNumber
@@ -42,9 +52,12 @@ def _parent_digest(left: Digest, right: Digest) -> Digest:
     return sha256(b"I" + left + right)
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    """One step of a membership proof: a sibling digest and its side."""
+class ProofStep(NamedTuple):
+    """One step of a membership proof: a sibling digest and its side.
+
+    A plain tuple of a digest and a flag, so the cyclic garbage collector
+    stops tracking it; proofs hold one per tree level.
+    """
 
     sibling: Digest
     sibling_is_left: bool
@@ -80,12 +93,7 @@ def proof_steps(level_sizes, leaf_index, digest_at) -> Tuple[ProofStep, ...]:
             sibling_index = index - 1
             sibling_is_left = True
         if sibling_index < size:
-            steps.append(
-                ProofStep(
-                    sibling=digest_at(level_number, sibling_index),
-                    sibling_is_left=sibling_is_left,
-                )
-            )
+            steps.append(ProofStep(digest_at(level_number, sibling_index), sibling_is_left))
         index //= 2
     return tuple(steps)
 
@@ -99,9 +107,14 @@ class MerkleTree:
     root be if these values changed" without mutating anything — which is how
     replicas validate the Merkle root a leader proposes before voting for it.
     Inserting new keys changes leaf positions and requires a rebuild.
+
+    :meth:`prove` memoises each key's proof until the next
+    :meth:`update_values`, the only in-place mutation; a rebuilt or cloned
+    tree starts with an empty memo.
     """
 
     def __init__(self, items: Mapping[Key, Value]) -> None:
+        self._proofs: Dict[Key, MerkleProof] = {}
         self._keys: List[Key] = sorted(items)
         self._index: Dict[Key, int] = {key: i for i, key in enumerate(self._keys)}
         self._levels: List[List[Digest]] = []
@@ -126,6 +139,7 @@ class MerkleTree:
         deltas on either tree invisible to the other.
         """
         twin = MerkleTree.__new__(MerkleTree)
+        twin._proofs = {}
         twin._keys = self._keys
         twin._index = self._index
         twin._levels = [list(level) for level in self._levels]
@@ -182,6 +196,7 @@ class MerkleTree:
             return self.root
         if not self.covers(updates):
             raise ProofError("update_values only handles keys already in the tree")
+        self._proofs.clear()
         dirty = set()
         for key, value in updates.items():
             index = self._index[key]
@@ -239,7 +254,12 @@ class MerkleTree:
         """Produce a membership proof for ``key``.
 
         Raises :class:`ProofError` when the key is not part of the tree.
+        Proofs are immutable, so a memoised one is shared by every caller
+        until the tree changes.
         """
+        proof = self._proofs.get(key)
+        if proof is not None:
+            return proof
         if key not in self._index:
             raise ProofError(f"key {key!r} is not in the Merkle tree")
         steps = proof_steps(
@@ -247,7 +267,8 @@ class MerkleTree:
             self._index[key],
             lambda level, index: self._levels[level][index],
         )
-        return MerkleProof(key=key, steps=steps)
+        proof = self._proofs[key] = MerkleProof(key=key, steps=steps)
+        return proof
 
 
 def verify_proof(root: Digest, key: Key, value: Value, proof: MerkleProof) -> bool:

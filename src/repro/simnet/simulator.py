@@ -12,6 +12,13 @@ entries always differ by their first two fields: tuple comparison runs in C
 and never reaches the :class:`EventHandle`, which takes no part in ordering.
 The handle carries the callback and the cancelled/fired flags.  A cancelled
 event keeps its heap entry and is skipped when popped.
+
+A handle holds its callback only until the event fires or is cancelled.
+Callers routinely keep the handle of a timer whose callback closes over the
+caller (``wait.timer = schedule(..., lambda: finish(wait))``); dropping the
+reference at that point breaks the ``owner -> handle -> closure -> owner``
+cycle, so finished work is freed by reference counting instead of waiting for
+the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ class EventHandle:
         self, time_ms: float, callback: Callable[[], None], simulator: "Simulator"
     ) -> None:
         self._time = time_ms
-        self._callback = callback
+        # Cleared when the event fires or is cancelled (see module docstring).
+        self._callback: Optional[Callable[[], None]] = callback
         self._cancelled = False
         self._fired = False
         self._simulator = simulator
@@ -50,6 +58,7 @@ class EventHandle:
         if self._cancelled or self._fired:
             return
         self._cancelled = True
+        self._callback = None
         self._simulator._pending -= 1
 
 
@@ -132,7 +141,9 @@ class Simulator:
                 handle._fired = True
                 self._pending -= 1
                 self._now = time_ms
-                handle._callback()
+                callback = handle._callback
+                handle._callback = None
+                callback()
                 processed += 1
                 self._events_processed += 1
         finally:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -92,6 +94,72 @@ class TestCancellation:
         sim.run_until_idle()
         handle.cancel()  # should not raise
         assert not handle.cancelled
+
+
+class TestCallbackRelease:
+    """A handle holds its callback only until the event fires or is cancelled."""
+
+    @staticmethod
+    def _schedule(sim, delay_ms, hits):
+        def callback():
+            hits.append(delay_ms)
+
+        return sim.schedule(delay_ms, callback), weakref.ref(callback)
+
+    def test_fired_handle_releases_its_callback(self):
+        sim = Simulator()
+        hits = []
+        handle, callback = self._schedule(sim, 1.0, hits)
+        assert callback() is not None  # held while pending
+        assert sim.pending_events == 1
+        sim.run_until_idle()
+        assert hits == [1.0]
+        assert callback() is None
+        assert handle.time == 1.0
+        assert not handle.cancelled
+        assert sim.pending_events == 0
+        handle.cancel()  # after firing: still a no-op
+        assert not handle.cancelled
+        assert sim.pending_events == 0
+
+    def test_cancelled_handle_releases_its_callback(self):
+        sim = Simulator()
+        hits = []
+        handle, callback = self._schedule(sim, 1.0, hits)
+        sim.schedule(2.0, lambda: hits.append(2.0))
+        handle.cancel()
+        assert callback() is None
+        assert handle.cancelled
+        assert handle.time == 1.0
+        assert sim.pending_events == 1
+        handle.cancel()  # twice: still counted once
+        assert sim.pending_events == 1
+        sim.run_until_idle()
+        assert hits == [2.0]
+        assert handle.cancelled
+        assert sim.pending_events == 0
+
+    def test_timer_cycle_is_freed_without_the_collector(self):
+        class Owner:
+            timer = None
+
+        sim = Simulator()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            owners = []
+            for delay_ms in (1.0, 5.0):
+                owner = Owner()
+                # owner -> handle -> closure -> owner, as with _Wait timers.
+                owner.timer = sim.schedule(delay_ms, lambda owner=owner: owner.timer)
+                owners.append(weakref.ref(owner))
+            del owner
+            sim.run(until_ms=2.0)
+            owners[1]().timer.cancel()
+            assert [ref() for ref in owners] == [None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestRunLimits:
